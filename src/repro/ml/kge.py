@@ -15,11 +15,45 @@ PS key layout
 Each value is ``[re | im | acc_re | acc_im]``: the complex embedding followed
 by its AdaGrad accumulator, so that the optimizer state is shared through the
 PS exactly like the embeddings themselves.
+
+The fused training step
+-----------------------
+``KGETask._train_triple`` is the task's hot loop, so it is one fused kernel
+rather than calls of :class:`ComplExModel`. With ``k`` negatives per side it
+stacks the pulled rows into one ``(3 + 2k, 4d)`` block: ``s, r, o``, then
+the ``k`` subject and the ``k`` object negatives. Batch row 0 scores the
+positive triple, rows ``1..k`` perturb the subject, rows ``k+1..2k`` the
+object. One ``take`` with an index layout cached per ``(d, k)`` gathers the
+operands of three full-width planes, each ``left1 * right1 + left2 * right2``
+over ``(1 + 2k, 2d)``:
+
+* subject gradient: ``[r_re|r_re] * O + [r_im|-r_im] * O_swap``
+* relation gradient: ``[s_re|s_re] * O + [s_im|-s_im] * O_swap``
+* object gradient: ``[r_re|r_re] * S + [-r_im|r_im] * S_swap``
+
+Here ``S``/``O`` are the batch rows' ``[re | im]`` weights and ``_swap``
+their ``[im | re]`` partners. The relation plane doubles as the score's
+inner products: the score sums ``r * plane`` over each d-long half. All
+three planes are scaled by ``dscore`` in one product, the block sums come
+from one reduction, and AdaGrad runs once over all ``3 + 2k`` rows before
+the step pushes ``deltas[:3]`` and ``deltas[3:]``. The PS calls are those
+of the plain formulation, with the same keys.
+
+The floats are bit-identical to ``ComplExModel.score``/``gradients`` plus
+per-block sums (``tests/test_kge_step_kernel.py`` keeps that formulation as
+its oracle). Every elementwise expression keeps its operand order up to
+commutativity of a single ``+`` or ``*``, which IEEE-754 makes exact, and
+``x - y`` becomes ``x + (-y)``, which IEEE-754 defines to give the same
+result. The score reductions still run over contiguous d-long rows, so
+NumPy's pairwise summation groups them alike. The block sums still add
+rows in order: the positive row, then the perturbed-subject block, then the
+perturbed-object block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -126,6 +160,49 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x.clip(-30.0, 30.0)))
 
 
+class _StepLayout(NamedTuple):
+    index: np.ndarray  # (2, 2, 3, B, 2d) flat cell indices into the block
+    sign: np.ndarray   # (3, 1, 2d) signs of the left second-term operands
+
+
+@lru_cache(maxsize=None)
+def _step_layout(dim: int, num_negatives: int) -> _StepLayout:
+    """Gather layout of the fused training step (see the module docstring)."""
+    k = num_negatives
+    batch = np.arange(1 + 2 * k)
+    # Block rows: s, r, o, then negative j at row 3 + j; batch row b >= 1
+    # holds negative b - 1, perturbing the subject for b <= k.
+    subj = np.where((batch >= 1) & (batch <= k), batch + 2, 0)
+    obj = np.where(batch > k, batch + 2, 2)
+    rel = np.ones_like(batch)
+    re = np.arange(dim)
+    im = re + dim
+    plain, swap = np.concatenate([re, im]), np.concatenate([im, re])
+    re2, im2 = np.concatenate([re, re]), np.concatenate([im, im])
+
+    def cells(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return rows[:, None] * (4 * dim) + cols
+
+    left = [[cells(rel, re2), cells(subj, re2), cells(rel, re2)],
+            [cells(rel, im2), cells(subj, im2), cells(rel, im2)]]
+    right = [[cells(obj, plain), cells(obj, plain), cells(subj, plain)],
+             [cells(obj, swap), cells(obj, swap), cells(subj, swap)]]
+    plus, minus = np.ones(dim, np.float32), -np.ones(dim, np.float32)
+    sign = np.array([np.concatenate([plus, minus]),
+                     np.concatenate([plus, minus]),
+                     np.concatenate([minus, plus])])[:, None, :]
+    index = np.array([left, right])
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return _StepLayout(index, sign)
+
+
+# Which block sum starts each direct gradient: the subject sums the
+# perturbed-object rows, relation and object the perturbed-subject rows.
+_PLANES = np.arange(3)
+_FIRST_SUM = np.array([1, 0, 0])
+
+
 class KGETask(TrainingTask):
     """The knowledge graph embeddings workload (ComplEx + negative sampling)."""
 
@@ -143,6 +220,8 @@ class KGETask(TrainingTask):
         sampling_level: ConformityLevel = ConformityLevel.BOUNDED,
         regularization: float = 0.0,
     ) -> None:
+        if num_negatives < 0:
+            raise ValueError("num_negatives must be non-negative")
         self.graph = graph
         self.model = ComplExModel(dim)
         self.dim = int(dim)
@@ -152,9 +231,7 @@ class KGETask(TrainingTask):
         self.sampling_level = sampling_level
         self.regularization = float(regularization)
         self._distribution_id: Optional[int] = None
-        self._true_objects: Dict[Tuple[int, int], set] = {}
-        self._true_subjects: Dict[Tuple[int, int], set] = {}
-        self._build_filter_index()
+        self._test_filters = self._build_filter_index()
 
     # -------------------------------------------------------------- model layout
     def num_keys(self) -> int:
@@ -257,8 +334,8 @@ class KGETask(TrainingTask):
         )
 
         compute_cost = self.network_compute_cost(ps)  # constant per chunk
-        for subject, relation, obj in triples:
-            self._train_triple(ps, worker, int(subject), int(relation), int(obj), stream)
+        for subject, relation, obj in triples.tolist():
+            self._train_triple(ps, worker, subject, relation, obj, stream)
             worker.charge_compute(compute_cost)
         return len(triples)
 
@@ -269,75 +346,45 @@ class KGETask(TrainingTask):
     def _train_triple(self, ps: ParameterServer, worker: WorkerContext,
                       subject: int, relation: int, obj: int,
                       stream: NegativeSampleStream) -> None:
-        model = self.model
-        dim2 = 2 * self.dim
-        direct_keys = np.asarray(
-            [subject, self.relation_key(relation), obj], dtype=np.int64
+        """One SGD step on one triple: the fused kernel of the module docstring."""
+        dim = self.dim
+        k = self.num_negatives
+        direct_keys = np.array(
+            [subject, self.graph.num_entities + relation, obj], dtype=np.int64
         )
         direct_values = ps.pull(worker, direct_keys)
-        s_w = direct_values[0, :dim2]
-        r_w = direct_values[1, :dim2]
-        o_w = direct_values[2, :dim2]
+        negatives = stream.next(2 * k)
+        block = np.concatenate((direct_values, negatives.values))
+        layout = _step_layout(dim, k)
 
-        negatives = stream.next(2 * self.num_negatives)
-        neg_keys = negatives.keys
-        neg_w = negatives.values[:, :dim2]
-        half = len(neg_keys) // 2
-        rest = len(neg_keys) - half
-
-        # Score and differentiate the positive triple and both negative
-        # blocks in ONE batch: row 0 is (s, r, o), rows 1..half perturb the
-        # subject, the remaining rows perturb the object. Scores, sigmoids
-        # and per-row gradients are elementwise/row-wise operations, so the
-        # fused batch is bit-identical to three separate model calls.
-        batch = 1 + len(neg_keys)
-        subjects = np.empty((batch, dim2), dtype=np.float32)
-        objects = np.empty((batch, dim2), dtype=np.float32)
-        subjects[0] = s_w
-        objects[0] = o_w
-        subjects[1:1 + half] = neg_w[:half]
-        objects[1:1 + half] = o_w
-        subjects[1 + half:] = s_w
-        objects[1 + half:] = neg_w[half:]
-
-        scores = model.score(subjects, r_w, objects)
-        dscores = _sigmoid(scores)
+        operands = block.take(layout.index)
+        operands[0, 1] *= layout.sign
+        products = operands[0] * operands[1]
+        # Planes: subject gradient, relation gradient (= the score's inner
+        # products), object gradient; all before scaling by dscore.
+        inner = products[0] + products[1]
+        halves = (inner[1] * block[1, : 2 * dim]).reshape(-1, 2, dim).sum(axis=-1)
+        dscores = _sigmoid(halves[:, 0] + halves[:, 1])
         dscores[0] = dscores[0] - 1.0  # positive triple: label 1
-        g_subj, g_rel, g_obj = model.gradients(subjects, r_w, objects, dscores)
+        grads = dscores[:, None] * inner
 
-        # Accumulate in the seed's order: positive gradient, then the
-        # perturbed-subject block, then the perturbed-object block.
-        grad_s = g_subj[0]
-        grad_r = g_rel[0]
-        grad_o = g_obj[0]
-        if half:
-            grad_r = grad_r + g_rel[1:1 + half].sum(axis=0)
-            grad_o = grad_o + g_obj[1:1 + half].sum(axis=0)
-        if rest:
-            grad_s = grad_s + g_subj[1 + half:].sum(axis=0)
-            grad_r = grad_r + g_rel[1 + half:].sum(axis=0)
-
+        if k:
+            # Per plane, the sums over the perturbed-subject block and the
+            # perturbed-object block (rows 1..k and k+1..2k).
+            sums = grads[:, 1:].reshape(3, 2, k, 2 * dim).sum(axis=2)
+            direct = grads[:, 0] + sums[_PLANES, _FIRST_SUM]
+            direct[1] += sums[1, 1]  # the relation sums both blocks
+            # Negatives: subject gradients of the subject negatives, then
+            # object gradients of the object negatives.
+            grads = np.concatenate((direct, grads[0, 1:1 + k], grads[2, 1 + k:]))
+        else:
+            grads = grads[:, 0]
         if self.regularization:
-            grad_s = grad_s + self.regularization * s_w
-            grad_r = grad_r + self.regularization * r_w
-            grad_o = grad_o + self.regularization * o_w
+            grads[:3] += self.regularization * block[:3, : 2 * dim]
 
-        # AdaGrad deltas for the direct-access keys.
-        direct_grads = np.empty((3, dim2), dtype=np.float32)
-        direct_grads[0] = grad_s
-        direct_grads[1] = grad_r
-        direct_grads[2] = grad_o
-        direct_deltas = self.optimizer.compute_update(direct_values, direct_grads)
-        ps.push(worker, direct_keys, direct_deltas)
-
-        # AdaGrad deltas for the sampled (negative) keys: the gradient of a
-        # perturbed subject (object) is that row's subject (object) gradient.
-        if len(neg_keys):
-            neg_grads = np.empty((len(neg_keys), dim2), dtype=np.float32)
-            neg_grads[:half] = g_subj[1:1 + half]
-            neg_grads[half:] = g_obj[1 + half:]
-            neg_deltas = self.optimizer.compute_update(negatives.values, neg_grads)
-            stream.push_updates(neg_keys, neg_deltas)
+        deltas = self.optimizer.compute_update(block, grads)
+        ps.push(worker, direct_keys, deltas[:3])
+        stream.push_updates(negatives.keys, deltas[3:])
 
     # ---------------------------------------------------------------- evaluation
     def evaluate(self, store: ParameterStore) -> Dict[str, float]:
@@ -352,53 +399,58 @@ class KGETask(TrainingTask):
         conj_entities = np.conj(entities_c)
         reciprocal_ranks: List[float] = []
         hits = 0
-        total = 0
-        for subject, relation, obj in self.graph.test_triples:
-            subject, relation, obj = int(subject), int(relation), int(obj)
+        queries = zip(self.graph.test_triples.tolist(), self._test_filters)
+        for (subject, relation, obj), (true_objects, true_subjects) in queries:
             relation_w = store.values[self.relation_key(relation), :dim2]
-            subject_w = entity_w[subject]
-            object_w = entity_w[obj]
-
-            # Object ranking (s, r, ?).
-            scores = self.model.score_against_all(
-                subject_w, relation_w, entity_w, conj_entities=conj_entities
+            # Object ranking (s, r, ?), then subject ranking (?, r, o).
+            object_scores = self.model.score_against_all(
+                entity_w[subject], relation_w, entity_w,
+                conj_entities=conj_entities,
             )
-            rank = self._filtered_rank(
-                scores, obj, self._true_objects.get((subject, relation), set())
+            subject_scores = self.model.score_all_subjects(
+                relation_w, entity_w[obj], entity_w, entities_c=entities_c
             )
-            reciprocal_ranks.append(1.0 / rank)
-            hits += int(rank <= 10)
-            total += 1
-
-            # Subject ranking (?, r, o).
-            scores = self.model.score_all_subjects(
-                relation_w, object_w, entity_w, entities_c=entities_c
-            )
-            rank = self._filtered_rank(
-                scores, subject, self._true_subjects.get((relation, obj), set())
-            )
-            reciprocal_ranks.append(1.0 / rank)
-            hits += int(rank <= 10)
-            total += 1
+            for rank in (self._filtered_rank(object_scores, obj, true_objects),
+                         self._filtered_rank(subject_scores, subject, true_subjects)):
+                reciprocal_ranks.append(1.0 / rank)
+                hits += int(rank <= 10)
 
         return {
             "mrr_filtered": float(np.mean(reciprocal_ranks)),
-            "hits_at_10": hits / total,
+            "hits_at_10": hits / len(reciprocal_ranks),
         }
 
     @staticmethod
-    def _filtered_rank(scores: np.ndarray, target: int, known_true: set) -> int:
-        target_score = scores[target]
-        mask = np.ones(len(scores), dtype=bool)
-        for entity in known_true:
-            if entity != target:
-                mask[entity] = False
-        better = int(np.count_nonzero(scores[mask] > target_score))
-        return better + 1
+    def _filtered_rank(scores: np.ndarray, target: int, known_true) -> int:
+        """Rank of ``target`` among the entities not known to be true.
 
-    def _build_filter_index(self) -> None:
+        ``known_true`` (an index array or a set) holds the entities of known
+        true triples; it may include ``target``, which never scores above
+        itself. The rank is one plus the number of entities scoring above
+        ``target`` minus the known-true ones among them.
+        """
+        if not isinstance(known_true, np.ndarray):
+            known_true = np.fromiter(known_true, dtype=np.int64,
+                                     count=len(known_true))
+        target_score = scores[target]
+        better = (np.count_nonzero(scores > target_score)
+                  - np.count_nonzero(scores[known_true] > target_score))
+        return int(better) + 1
+
+    def _build_filter_index(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per test triple, the true objects of (s, r) and subjects of (r, o)."""
+        true_objects: Dict[Tuple[int, int], set] = {}
+        true_subjects: Dict[Tuple[int, int], set] = {}
         for split in (self.graph.train_triples, self.graph.test_triples):
-            for subject, relation, obj in split:
-                subject, relation, obj = int(subject), int(relation), int(obj)
-                self._true_objects.setdefault((subject, relation), set()).add(obj)
-                self._true_subjects.setdefault((relation, obj), set()).add(subject)
+            for subject, relation, obj in split.tolist():
+                true_objects.setdefault((subject, relation), set()).add(obj)
+                true_subjects.setdefault((relation, obj), set()).add(subject)
+
+        def indices(entities: set) -> np.ndarray:
+            return np.array(sorted(entities), dtype=np.int64)
+
+        return [
+            (indices(true_objects[(subject, relation)]),
+             indices(true_subjects[(relation, obj)]))
+            for subject, relation, obj in self.graph.test_triples.tolist()
+        ]

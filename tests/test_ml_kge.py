@@ -178,6 +178,11 @@ class TestKGETraining:
         scores = np.array([1.0, 2.0])
         assert KGETask._filtered_rank(scores, target=1, known_true={1}) == 1
 
+    def test_negative_num_negatives_rejected_at_construction(self, graph):
+        # Used to build and fail only mid-training, inside the sample stream.
+        with pytest.raises(ValueError, match="num_negatives"):
+            KGETask(graph, dim=4, num_negatives=-1)
+
     def test_sampling_level_is_passed_to_registration(self, graph, store):
         task = KGETask(graph, dim=4, sampling_level=ConformityLevel.NON_CONFORM)
         assert task.sampling_level is ConformityLevel.NON_CONFORM
