@@ -141,18 +141,16 @@ class UpdateNormClipper:
         """Row-wise :meth:`clip` of a 2-D float32 batch, in order.
 
         Bit-identical to calling :meth:`clip` once per row: the squared
-        norms are computed with the same per-row BLAS dot, the square roots
-        in one elementwise call, and the (inherently sequential) running-mean
+        norms come from one stacked ``(1, d) @ (d, 1)`` matmul, which runs
+        the same BLAS dot per row as ``row.dot(row)``, the square roots from
+        one elementwise call, and the (inherently sequential) running-mean
         logic runs on Python floats. ``updates`` must be freshly allocated —
         clipped rows are scaled in place.
         """
-        n = len(updates)
-        if n == 0:
+        if len(updates) == 0:
             return updates
-        dots = np.empty(n, dtype=np.float32)
-        for i, row in enumerate(updates):
-            dots[i] = row.dot(row)
-        norms = np.sqrt(dots).tolist()
+        dots = np.matmul(updates[:, None, :], updates[:, :, None])
+        norms = np.sqrt(dots.ravel()).tolist()
         count = self._count
         mean = self._mean_norm
         factor = self.factor

@@ -17,6 +17,35 @@ PS key layout
 
 Negative sampling only ever touches output-layer keys, which is why the
 paper's Figure 3b shows the two layers as visually distinct populations.
+
+Each token's direct keys are stored once, in one read-only flat array:
+``[center, vocab_size + context...]`` per token, located by int64 start
+offsets. The step pulls and pushes a view of that array.
+
+Fused training step
+-------------------
+With ``c`` the center row, ``C`` the ``n`` context rows and ``N`` the ``m``
+negative rows, :meth:`WordVectorsTask._train_token` computes every float of
+the plain skip-gram step (a sigmoid per score block, separate gradient
+arrays, two clipping passes) with the same IEEE operations on the same
+operands, so the pushed deltas are bit-identical:
+
+* ``g = sigmoid([C.c ; N.c]) - labels`` lives in one ``(n+m,)`` buffer. The
+  scores come from two gemv calls, one per block: a single gemv over the
+  stacked block may round differently. The sigmoid runs in place as
+  clip, negate, exp, add 1, divide 1 by it, which are the elementwise
+  operations of ``1 / (1 + exp(-clip(x)))``. Only the context scores
+  subtract their label 1; ``x - 0`` would be ``x`` anyway.
+* One ``(1+n+m, d)`` block holds all updates: row 0 is ``g[:n].C`` plus
+  ``g[n:].N`` (the same two gemvs and the same addition order), the other
+  rows are the outer product ``g c``. Scaling the block by ``-lr`` in place
+  is the same float32 multiply as scaling each gradient array.
+* One :meth:`~repro.ml.optimizer.UpdateNormClipper.clip_rows` call clips
+  the block. Its rows come in the order of the former two calls, and the
+  pre-clip norms do not depend on the clipper state, so the running mean
+  ends the same.
+* ``push`` gets rows ``[:n+1]`` and ``push_sample`` rows ``[n+1:]``, with
+  the same keys in the same order as before, so the PS sees the same calls.
 """
 
 from __future__ import annotations
@@ -34,10 +63,6 @@ from repro.ml.task import TrainingTask, sequential_process_round
 from repro.ps.base import ParameterServer
 from repro.ps.storage import ParameterStore
 from repro.simulation.cluster import WorkerContext
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x.clip(-30.0, 30.0)))
 
 
 class WordVectorsTask(TrainingTask):
@@ -59,6 +84,14 @@ class WordVectorsTask(TrainingTask):
         clip_factor: float = 2.0,
         sampling_level: ConformityLevel = ConformityLevel.BOUNDED,
     ) -> None:
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        if window < 1:
+            raise ValueError("window must be positive")
+        if num_negatives < 0:
+            raise ValueError("num_negatives must be non-negative")
+        if learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         self.corpus = corpus
         self.dim = int(dim)
         self.window = int(window)
@@ -69,25 +102,41 @@ class WordVectorsTask(TrainingTask):
         self.sampling_level = sampling_level
         self._clipper = UpdateNormClipper(clip_factor) if clip_factor > 0 else None
         self._distribution_id: Optional[int] = None
-        self._centers, self._contexts = self._build_positions(corpus, self.window)
+        self._keys, self._starts = self._build_positions(corpus, self.window)
 
     @staticmethod
     def _build_positions(corpus: Corpus, window: int
-                         ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """One data point per token: its word id and the context word ids."""
-        centers: List[int] = []
-        contexts: List[np.ndarray] = []
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """One data point per token with context: its direct keys, flattened.
+
+        Token ``i`` owns ``keys[starts[i]:starts[i + 1]]``, which is
+        ``[center, vocab_size + context...]``; ``starts`` has one more entry
+        than there are data points.
+        """
+        vocab_size = corpus.vocab_size
+        keys: List[int] = []
+        starts = [0]
         for sentence in corpus.sentences:
-            length = len(sentence)
-            for i in range(length):
-                lo = max(0, i - window)
-                hi = min(length, i + window + 1)
-                context = np.concatenate([sentence[lo:i], sentence[i + 1: hi]])
-                if len(context) == 0:
-                    continue
-                centers.append(int(sentence[i]))
-                contexts.append(context.astype(np.int64))
-        return np.asarray(centers, dtype=np.int64), contexts
+            words = sentence.tolist()
+            if len(words) < 2:
+                continue
+            outputs = [vocab_size + word for word in words]
+            for i, word in enumerate(words):
+                keys.append(word)
+                keys += outputs[max(0, i - window):i]
+                keys += outputs[i + 1:i + window + 1]
+                starts.append(len(keys))
+        flat = np.asarray(keys, dtype=np.int64)
+        flat.flags.writeable = False
+        return flat, np.asarray(starts, dtype=np.int64)
+
+    @property
+    def _contexts(self) -> List[np.ndarray]:
+        """The context word ids of every data point (read-only views)."""
+        contexts = self._keys - self.corpus.vocab_size
+        contexts.flags.writeable = False
+        starts = self._starts.tolist()
+        return [contexts[lo + 1:hi] for lo, hi in zip(starts[:-1], starts[1:])]
 
     # -------------------------------------------------------------- model layout
     def num_keys(self) -> int:
@@ -120,7 +169,7 @@ class WordVectorsTask(TrainingTask):
         counts = np.zeros(self.num_keys(), dtype=np.float64)
         weights = np.power(self.corpus.word_frequencies + 1e-12, self.unigram_power)
         probabilities = weights / weights.sum()
-        total_pairs = sum(len(c) for c in self._contexts)
+        total_pairs = len(self._keys) - self.num_data_points()
         total_samples = total_pairs * self.num_negatives
         counts[self.corpus.vocab_size:] = total_samples * probabilities
         return counts
@@ -137,12 +186,12 @@ class WordVectorsTask(TrainingTask):
 
     # ------------------------------------------------------------------ training
     def num_data_points(self) -> int:
-        return len(self._centers)
+        return len(self._starts) - 1
 
     def create_shards(self, num_nodes: int, workers_per_node: int,
                       seed: int = 0) -> List[List[np.ndarray]]:
         rng = np.random.default_rng(seed)
-        indices = np.arange(len(self._centers))
+        indices = np.arange(self.num_data_points())
         node_parts = self.partition_round_robin(indices, num_nodes, rng)
         return [
             self.partition_round_robin(part, workers_per_node, rng)
@@ -162,10 +211,11 @@ class WordVectorsTask(TrainingTask):
         data_indices = np.asarray(data_indices, dtype=np.int64)
         if len(data_indices) == 0:
             return
-        context_keys = [self.corpus.vocab_size + self._contexts[i] for i in data_indices]
-        direct_keys = np.unique(np.concatenate(
-            [self._centers[data_indices]] + context_keys
-        ))
+        keys = self._keys
+        direct_keys = np.unique(np.concatenate([
+            keys[lo:hi] for lo, hi in zip(self._starts[data_indices].tolist(),
+                                          self._starts[data_indices + 1].tolist())
+        ]))
         ps.localize(worker, direct_keys)
 
     def process_round(self, ps: ParameterServer, items) -> None:
@@ -187,64 +237,60 @@ class WordVectorsTask(TrainingTask):
         if len(data_indices) == 0:
             return 0
 
-        total_pairs = int(sum(len(self._contexts[i]) for i in data_indices))
+        los = self._starts[data_indices]
+        his = self._starts[data_indices + 1]
+        total_pairs = int((his - los).sum()) - len(data_indices)
         stream = NegativeSampleStream(
             ps, worker, self._distribution_id, total_pairs * self.num_negatives
         )
-        for index in data_indices:
-            self._train_token(ps, worker, int(index), stream)
+        keys = self._keys
+        for lo, hi in zip(los.tolist(), his.tolist()):
+            self._train_token(ps, worker, keys[lo:hi], stream)
         return len(data_indices)
 
     def _train_token(self, ps: ParameterServer, worker: WorkerContext,
-                     index: int, stream: NegativeSampleStream) -> None:
-        center = int(self._centers[index])
-        contexts = self._contexts[index]
-        num_pairs = len(contexts)
-
-        direct_keys = np.empty(num_pairs + 1, dtype=np.int64)
-        direct_keys[0] = center
-        direct_keys[1:] = self.corpus.vocab_size + contexts
+                     direct_keys: np.ndarray, stream: NegativeSampleStream) -> None:
+        """One SGD step on one token (the fused kernel, see the module doc)."""
+        num_pairs = len(direct_keys) - 1
         direct_values = ps.pull(worker, direct_keys)
         center_vec = direct_values[0]
         context_vecs = direct_values[1:]
 
         negatives = stream.next(num_pairs * self.num_negatives)
-        neg_vecs = negatives.values
+        neg_keys = negatives.keys
+        num_negs = len(neg_keys)
 
-        # Positive pairs: label 1.
-        pos_g = _sigmoid(context_vecs.dot(center_vec)) - 1.0
-        grad_center = pos_g.dot(context_vecs)
-        grad_contexts = pos_g[:, None] * center_vec[None, :]
+        # Scores, then g = sigmoid(score) - label in place: label 1 for the
+        # context pairs, 0 for the negative pairs.
+        g = np.empty(num_pairs + num_negs, dtype=np.float32)
+        pos_g = g[:num_pairs]
+        neg_g = g[num_pairs:]
+        np.dot(context_vecs, center_vec, out=pos_g)
+        if num_negs:
+            np.dot(negatives.values, center_vec, out=neg_g)
+        g.clip(-30.0, 30.0, out=g)
+        np.negative(g, out=g)
+        np.exp(g, out=g)
+        g += 1.0
+        np.divide(1.0, g, out=g)
+        pos_g -= 1.0
 
-        # Negative pairs: label 0 (each negative is paired with the center).
-        if len(neg_vecs):
-            neg_g = _sigmoid(neg_vecs.dot(center_vec))
-            grad_center = grad_center + neg_g.dot(neg_vecs)
-            grad_negs = neg_g[:, None] * center_vec[None, :]
-        else:
-            grad_negs = np.empty((0, self.dim), dtype=np.float32)
-
-        deltas = np.empty((len(grad_contexts) + 1, self.dim), dtype=np.float32)
-        deltas[0] = -self.learning_rate * grad_center
-        deltas[1:] = -self.learning_rate * grad_contexts
-        deltas = self._clip_rows(deltas)
-        ps.push(worker, direct_keys, deltas)
-
-        if len(negatives.keys):
-            # grad_negs is float32 already; -lr * grad is a fresh float32
-            # array, safe for the clipper to scale in place.
-            neg_deltas = self._clip_rows(-self.learning_rate * grad_negs)
-            stream.push_updates(negatives.keys, neg_deltas)
+        # Row 0 updates the center, then one row per context and negative.
+        deltas = np.empty((1 + num_pairs + num_negs, self.dim), dtype=np.float32)
+        np.dot(pos_g, context_vecs, out=deltas[0])
+        if num_negs:
+            deltas[0] += neg_g.dot(negatives.values)
+        np.multiply(g[:, None], center_vec, out=deltas[1:])
+        deltas *= -self.learning_rate
+        if self._clipper is not None:
+            self._clipper.clip_rows(deltas)
+        ps.push(worker, direct_keys, deltas[:num_pairs + 1])
+        stream.push_updates(neg_keys, deltas[num_pairs + 1:])
 
         # One skip-gram pair is roughly one SGD step's worth of computation.
         worker.charge_compute(
             ps.network.compute_per_step * num_pairs * (1 + self.num_negatives) / 4.0
         )
-
-    def _clip_rows(self, updates: np.ndarray) -> np.ndarray:
-        if self._clipper is None:
-            return updates
-        return self._clipper.clip_rows(updates)
 
     # ---------------------------------------------------------------- evaluation
     def evaluate(self, store: ParameterStore) -> Dict[str, float]:

@@ -103,6 +103,25 @@ class TestWordVectorsTraining:
         assert 0.0 <= accuracy <= 100.0
 
 
+class TestWordVectorsValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(num_negatives=-1), "num_negatives"),
+        (dict(window=0), "window"),
+        (dict(window=-1), "window"),
+        (dict(dim=0), "dim"),
+        (dict(learning_rate=-0.1), "learning_rate"),
+        (dict(learning_rate=0.0), "learning_rate"),
+    ])
+    def test_invalid_arguments_raise_at_construction(self, corpus, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            WordVectorsTask(corpus, **kwargs)
+
+    def test_zero_negatives_trains(self, corpus):
+        task = WordVectorsTask(corpus, dim=4, window=1, num_negatives=0)
+        _, _, store = train_on_single_node(task, epochs=1)
+        assert np.abs(store.values[corpus.vocab_size:]).max() > 0
+
+
 class TestMatrixFactorizationLayout:
     def test_key_space(self, matrix):
         task = MatrixFactorizationTask(matrix)
